@@ -195,63 +195,6 @@ def test_e15_phast_beats_pure_python_planes(network, phast_engine):
     )
 
 
-def test_e15_refold_scatter_microbench(network, phast_engine, monkeypatch):
-    """The reduceat-free refold prototype: bit-identity + honest delta.
-
-    ``PTRIDER_PHAST_SCATTER_REFOLD`` swaps the refold's segmented
-    ``minimum.reduceat`` generations for scatter-min (``minimum.at``) into
-    the destination cells.  Both walls and their ratio are recorded either
-    way -- the flag is a measurement seam, not a claimed win (``ufunc.at``
-    is unbuffered, so the segmented fold is expected to keep the edge on
-    CPython/NumPy; the prototype exists to keep that verdict measured, not
-    assumed).
-    """
-    from repro.roadnet.routing import PHAST_SCATTER_REFOLD_ENV
-
-    sources = _tree_sources(network, TREE_SOURCES)
-    indices = [phast_engine.graph.index(vertex) for vertex in sources]
-    provider = phast_engine.tree_provider
-
-    monkeypatch.delenv(PHAST_SCATTER_REFOLD_ENV, raising=False)
-    segmented_wall, segmented_plane = _best_of(lambda: provider.trees(indices))
-    monkeypatch.setenv(PHAST_SCATTER_REFOLD_ENV, "1")
-    scatter_wall, scatter_plane = _best_of(lambda: provider.trees(indices))
-
-    # The flag must never change a single bit of any row.
-    assert _np.array_equal(
-        _np.asarray(segmented_plane), _np.asarray(scatter_plane)
-    )
-    delta = scatter_wall / segmented_wall
-    record_result(
-        "E15",
-        segmented_wall,
-        routing_backend="ch",
-        phase="refold_microbench",
-        refold="reduceat",
-        trees=len(indices),
-        ms_per_tree=round(segmented_wall / len(indices) * 1000, 3),
-        vertices=network.vertex_count,
-    )
-    record_result(
-        "E15",
-        scatter_wall,
-        routing_backend="ch",
-        phase="refold_microbench",
-        refold="scatter",
-        trees=len(indices),
-        ms_per_tree=round(scatter_wall / len(indices) * 1000, 3),
-        vertices=network.vertex_count,
-        # > 1 means scatter is slower than the segmented fold
-        wall_vs_reduceat=round(delta, 3),
-    )
-    # No direction is claimed, but a collapse past 20x would mean the
-    # prototype broke (e.g. fell off the vectorised path entirely).
-    assert scatter_wall < 20 * segmented_wall, (
-        f"scatter refold collapsed to {delta:.1f}x the segmented fold "
-        f"({scatter_wall:.3f}s vs {segmented_wall:.3f}s)"
-    )
-
-
 def test_e15_dispatch_outcomes_byte_identical_across_providers(network, cache_dir):
     """The same burst dispatched on plane vs phast trees commits identically."""
 

@@ -82,14 +82,6 @@ class BatchStatistics:
     #: exact leg queries answered from a prefetched leg tree instead of a
     #: cold single-source engine computation
     leg_tree_hits: int = 0
-    #: worker processes the collect/verify stage fanned out to (0 = in-process)
-    parallel_workers: int = 0
-    #: wall seconds this batch lost to cross-process shipping (payload
-    #: pickling plus turn round-trips minus the slowest worker's compute)
-    ipc_seconds: float = 0.0
-    #: accumulated collect/verify wall seconds per shard, indexed by shard
-    #: (filled by the parallel path; empty when the batch ran in-process)
-    shard_wall_seconds: Tuple[float, ...] = ()
 
     @property
     def shared_tree_hit_rate(self) -> float:
@@ -116,10 +108,6 @@ class BatchStatistics:
             "leg_sources_prefetched": float(self.leg_sources_prefetched),
             "leg_tree_hits": float(self.leg_tree_hits),
             "tree_provider": self.tree_provider,
-            "parallel_workers": float(self.parallel_workers),
-            "ipc_seconds": self.ipc_seconds,
-            "shard_wall_seconds_max": max(self.shard_wall_seconds, default=0.0),
-            "shard_wall_seconds_total": float(sum(self.shard_wall_seconds)),
         }
 
 
@@ -367,41 +355,6 @@ class BatchContext:
         they did when contexts were built inline.
         """
         return self._seconds.get(index, 0.0)
-
-    def export_tree_plane(self) -> Optional[Tuple[object, Dict[VertexId, int]]]:
-        """The batch's pooled start trees as one ``(k, n)`` float64 plane.
-
-        Returns ``(plane, start_rows)`` -- a row per distinct start vertex
-        plus the start -> row map -- when *every* pooled tree is backed by a
-        dense ndarray over the engine's vertex order (the CSR / table / CH
-        providers), or ``None`` otherwise (pure-Python trees, the dict
-        backend, no NumPy).  The parallel dispatch pool publishes the plane
-        into shared memory so workers re-wrap the very same rows zero-copy;
-        on ``None`` workers recompute trees through their attached engines,
-        which is bit-identical by the tree-provider contract.
-
-        Call before the pipeline starts releasing contexts: rows are
-        gathered from the live context pool.
-        """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy-less environment
-            return None
-        rows: List[object] = []
-        start_rows: Dict[VertexId, int] = {}
-        for index in sorted(self._contexts):
-            context = self._contexts[index]
-            start = context.request.start
-            if start in start_rows:
-                continue
-            row = getattr(context.start_tree, "_dist", None)
-            if not isinstance(row, np.ndarray):
-                return None
-            start_rows[start] = len(rows)
-            rows.append(row)
-        if not rows:
-            return None
-        return np.vstack(rows), start_rows
 
     def release(self, index: int) -> None:
         """Drop request ``index``'s context (and its tree pin, if the last)."""

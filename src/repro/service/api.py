@@ -946,22 +946,17 @@ class PTRiderService:
         Drains the pending ingest window *before* tearing down the
         dispatcher (an admitted request is never silently dropped by a
         shutdown; the drained count is reported in
-        ``IngestStatistics.close_drained``), then closes the journal and
-        the dispatcher -- which shuts down the shared-memory worker pool
-        and its segments when ``dispatch_workers > 1``.  Before this
-        existed only :meth:`set_parameters` closed the outgoing dispatcher,
-        so scripts building a multi-worker service leaked the pool until
-        garbage collection.  Idempotent (the dispatcher's close is, and a
-        drained queue has nothing left to drain); the service remains
-        usable afterwards -- a later dispatch simply reacquires its pool,
-        and the journal connection reopens lazily.
+        ``IngestStatistics.close_drained``), then closes the journal.
+        Idempotent (a drained queue has nothing left to drain); the
+        service remains usable afterwards -- the journal connection
+        reopens lazily.
 
         Exception-safe: the drain runs through the batcher's
         :meth:`~repro.service.ingest.MicroBatcher.drain` (a failing flush
         consumes one request as errored and the loop keeps draining), and
-        the journal and dispatcher are released in a ``finally`` -- a
-        poisoned window can cost individual answers but never leaks the
-        worker pool or leaves the journal connection open.
+        the journal is released in a ``finally`` -- a poisoned window can
+        cost individual answers but never leaves the journal connection
+        open.
         """
         try:
             if self._batcher.pending:
@@ -974,7 +969,6 @@ class PTRiderService:
         finally:
             if self._journal is not None:
                 self._journal.close()
-            self._dispatcher.close()
 
     def _close_drain(self, now: float) -> None:
         """Drain the pending window on shutdown, counting what it held.
@@ -1074,7 +1068,6 @@ class PTRiderService:
         panel = self._engine.statistics.panel()
         panel["current_time"] = self._engine.time
         panel["match_shards"] = float(self._config.match_shards)
-        panel["dispatch_workers"] = float(self._config.dispatch_workers)
         panel.update({f"matcher_{k}": v for k, v in self._matcher.statistics.as_dict().items()})
         panel.update({f"fleet_{k}": v for k, v in self._fleet.occupancy_statistics().items()})
         batch_stats = self._dispatcher.last_batch_statistics
@@ -1110,19 +1103,6 @@ class PTRiderService:
         Counter fields an engine does not track (e.g. the dict backend has
         no PHAST sweeps) read 0.0.  All float-valued fields also appear in
         :meth:`statistics` under a ``routing_`` prefix.
-
-        The panel also reports the parallel-dispatch posture of the most
-        recent batch: ``dispatch_workers`` (the configured knob),
-        ``parallel_workers`` (how many worker processes actually served the
-        last batch; 0.0 means it ran in-process) and ``ipc_seconds`` (wall
-        time the last batch spent shipping requests out and skylines back
-        over the pipes rather than computing).
-
-        Failure containment appears under a ``dispatch_`` prefix: the
-        watchdog's ``worker_kills`` / ``worker_timeouts``, pool
-        ``pool_respawns``, ``batch_failures`` / ``dispatch_retries`` and
-        the circuit breaker's ``breaker_state`` / ``breaker_opens`` (see
-        :class:`~repro.core.dispatcher.DispatchHealth`).
         """
         engine = self._fleet.routing_engine
         stats = getattr(engine, "stats", None)
@@ -1141,14 +1121,6 @@ class PTRiderService:
             "load_seconds",
         ):
             payload[field_name] = float(getattr(stats, field_name, 0) or 0)
-        payload["dispatch_workers"] = float(self._config.dispatch_workers)
-        batch_stats = self._dispatcher.last_batch_statistics
-        payload["parallel_workers"] = (
-            float(batch_stats.parallel_workers) if batch_stats is not None else 0.0
-        )
-        payload["ipc_seconds"] = (
-            float(batch_stats.ipc_seconds) if batch_stats is not None else 0.0
-        )
         # The micro-batched serving path: admissions, sheds, queue depth,
         # window fill, serving throughput and the admission-to-answer
         # latency tail (nearest-rank p50/p95/p99).
@@ -1172,11 +1144,6 @@ class PTRiderService:
         # under snapshot_mode="incremental").
         for key, value in self._snapshot_stats.items():
             payload[f"snapshot_{key}"] = value
-        # Failure-containment health: watchdog kills/timeouts, pool
-        # respawns, batch failures, retries and the circuit breaker's
-        # state ("closed" / "open" / "half_open") and open count.
-        for key, value in self._dispatcher.health.as_dict().items():
-            payload[f"dispatch_{key}"] = value
         return payload
 
     def set_parameters(
@@ -1190,13 +1157,10 @@ class PTRiderService:
         table_max_vertices: Optional[int] = None,
         tree_provider: Optional[str] = None,
         match_shards: Optional[int] = None,
-        dispatch_workers: Optional[int] = None,
         batch_window: Optional[float] = None,
         max_batch_size: Optional[int] = None,
         queue_capacity: Optional[int] = None,
         queue_policy: Optional[str] = None,
-        worker_timeout: Optional[float] = None,
-        max_dispatch_retries: Optional[int] = None,
         latency_budget: Optional[float] = None,
         batch_window_mode: Optional[str] = None,
         batch_window_min: Optional[float] = None,
@@ -1217,10 +1181,7 @@ class PTRiderService:
         is built).  ``match_shards`` controls how many fleet shards the
         batch dispatch pipeline partitions vehicles into; any value yields
         the same options (the per-shard skylines merge losslessly), so it
-        is purely a scale-out knob.  ``dispatch_workers`` controls how many
-        worker processes the batch pipeline fans the per-shard collect
-        stage out to (1 keeps everything in-process); like shards it never
-        changes outcomes, only wall time.
+        is purely a scale-out knob.
 
         ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
         ``queue_policy`` reconfigure the micro-batched ingest path; the
@@ -1228,9 +1189,6 @@ class PTRiderService:
         batcher is rebuilt on the new knobs.  ``queue_capacity=0`` removes
         the bound (maps to ``None``: unbounded).
 
-        ``worker_timeout`` / ``max_dispatch_retries`` tune the failure
-        containment of the parallel dispatch path (watchdog heartbeat
-        deadline, retry attempts against a fresh pool);
         ``latency_budget`` sets the deadline-driven window close of the
         ingest path (``0`` disables it, mapping to ``None``).
 
@@ -1255,13 +1213,10 @@ class PTRiderService:
                 ("table_max_vertices", table_max_vertices),
                 ("tree_provider", tree_provider),
                 ("match_shards", match_shards),
-                ("dispatch_workers", dispatch_workers),
                 ("batch_window", batch_window),
                 ("max_batch_size", max_batch_size),
                 ("queue_capacity", queue_capacity),
                 ("queue_policy", queue_policy),
-                ("worker_timeout", worker_timeout),
-                ("max_dispatch_retries", max_dispatch_retries),
                 ("latency_budget", latency_budget),
                 ("batch_window_mode", batch_window_mode),
                 ("batch_window_min", batch_window_min),
@@ -1285,8 +1240,6 @@ class PTRiderService:
             changes["table_max_vertices"] = table_max_vertices
         if match_shards is not None:
             changes["match_shards"] = match_shards
-        if dispatch_workers is not None:
-            changes["dispatch_workers"] = dispatch_workers
         if batch_window is not None:
             changes["batch_window"] = batch_window
         if max_batch_size is not None:
@@ -1295,10 +1248,6 @@ class PTRiderService:
             changes["queue_capacity"] = None if queue_capacity == 0 else queue_capacity
         if queue_policy is not None:
             changes["queue_policy"] = queue_policy
-        if worker_timeout is not None:
-            changes["worker_timeout"] = worker_timeout
-        if max_dispatch_retries is not None:
-            changes["max_dispatch_retries"] = max_dispatch_retries
         if latency_budget is not None:
             changes["latency_budget"] = None if latency_budget == 0 else latency_budget
         if batch_window_mode is not None:
@@ -1374,11 +1323,8 @@ class PTRiderService:
             self._matcher = self._build_matcher(type(self._matcher).name)
         # Drain the ingest window through the *old* dispatcher before it is
         # replaced: admitted requests must be answered, never dropped by a
-        # reconfiguration.  The outgoing dispatcher may also own a live
-        # worker pool pinned to the old engine/matcher; release its
-        # shared-memory segments before the replacement takes over.
+        # reconfiguration.
         self._batcher.flush()
-        self._dispatcher.close()
         self._dispatcher = Dispatcher(self._fleet, self._matcher, self._config)
         self._engine._dispatcher = self._dispatcher  # keep the engine on the new dispatcher
         if self._journal is not None:
@@ -1415,13 +1361,10 @@ def build_system(
     routing: Optional[str] = None,
     routing_cache: Optional[str] = None,
     tree_provider: Optional[str] = None,
-    dispatch_workers: Optional[int] = None,
     batch_window: Optional[float] = None,
     max_batch_size: Optional[int] = None,
     queue_capacity: Optional[int] = None,
     queue_policy: Optional[str] = None,
-    worker_timeout: Optional[float] = None,
-    max_dispatch_retries: Optional[int] = None,
     latency_budget: Optional[float] = None,
     batch_window_mode: Optional[str] = None,
     batch_window_min: Optional[float] = None,
@@ -1449,9 +1392,6 @@ def build_system(
             to the config's ``routing_cache_dir``.
         tree_provider: tree-provider override ("auto", "plane" or "phast");
             defaults to the config's ``tree_provider``.
-        dispatch_workers: worker processes for the batch dispatch pipeline
-            (1 keeps dispatch in-process); defaults to the config's
-            ``dispatch_workers``.
         batch_window: micro-batch window length override for the ingest
             path; defaults to the config's ``batch_window``.
         max_batch_size: ingest window size cap override; defaults to the
@@ -1460,12 +1400,6 @@ def build_system(
             defaults to the config's ``queue_capacity``.
         queue_policy: full-queue policy override ("shed" or "block");
             defaults to the config's ``queue_policy``.
-        worker_timeout: dispatch-worker heartbeat deadline override (wall
-            seconds before a silent worker is declared hung and killed);
-            defaults to the config's ``worker_timeout``.
-        max_dispatch_retries: retry attempts for a failed ``begin_batch``
-            against a freshly spawned pool (``0`` disables retry);
-            defaults to the config's ``max_dispatch_retries``.
         latency_budget: deadline-driven window close for the ingest path
             (``0`` disables it); defaults to the config's
             ``latency_budget``.
@@ -1503,8 +1437,6 @@ def build_system(
         system_config = system_config.with_updates(routing_cache_dir=routing_cache)
     if tree_provider is not None and tree_provider != system_config.tree_provider:
         system_config = system_config.with_updates(tree_provider=tree_provider)
-    if dispatch_workers is not None and dispatch_workers != system_config.dispatch_workers:
-        system_config = system_config.with_updates(dispatch_workers=dispatch_workers)
     if batch_window is not None and batch_window != system_config.batch_window:
         system_config = system_config.with_updates(batch_window=batch_window)
     if max_batch_size is not None and max_batch_size != system_config.max_batch_size:
@@ -1515,15 +1447,6 @@ def build_system(
             system_config = system_config.with_updates(queue_capacity=bound)
     if queue_policy is not None and queue_policy != system_config.queue_policy:
         system_config = system_config.with_updates(queue_policy=queue_policy)
-    if worker_timeout is not None and worker_timeout != system_config.worker_timeout:
-        system_config = system_config.with_updates(worker_timeout=worker_timeout)
-    if (
-        max_dispatch_retries is not None
-        and max_dispatch_retries != system_config.max_dispatch_retries
-    ):
-        system_config = system_config.with_updates(
-            max_dispatch_retries=max_dispatch_retries
-        )
     if latency_budget is not None:
         budget = None if latency_budget == 0 else latency_budget
         if budget != system_config.latency_budget:

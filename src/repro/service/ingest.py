@@ -2,11 +2,10 @@
 
 ``PTRiderService.book`` answers one request at a time, which means the
 fastest machinery in the repository -- the staged batch pipeline with its
-vectorised tree prefetch, fleet-plane leg trees, sharded matching and the
-shared-memory worker pool -- was only reachable by callers that hand-assemble
-batches.  :class:`MicroBatcher` closes that gap: incoming requests accumulate
-in a *window* that is flushed through
-:meth:`~repro.core.dispatcher.Dispatcher.dispatch_batch` when either
+vectorised tree prefetch, fleet-plane leg trees and sharded matching -- was
+only reachable by callers that hand-assemble batches.  :class:`MicroBatcher`
+closes that gap: incoming requests accumulate in a *window* that is flushed
+through :meth:`~repro.core.dispatcher.Dispatcher.dispatch_batch` when either
 
 * ``batch_window`` time units have passed since the window's first
   admission (time is read from an injectable clock, so replay drives the
@@ -420,7 +419,6 @@ class MicroBatcher:
             (defaults to ``batch_window * 16``).
         policy: the stand-in rider choosing from each skyline.
         shards: shard-count override forwarded to ``dispatch_batch``.
-        workers: worker-count override forwarded to ``dispatch_batch``.
         prefetch_legs: fold the fleet's leg sources into each flush's
             prefetch plane (the serving-path optimisation; on by default).
         clock: zero-argument callable read at admissions and pumps.
@@ -450,7 +448,6 @@ class MicroBatcher:
         window_max: Optional[float] = None,
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
         shards: Optional[int] = None,
-        workers: Optional[int] = None,
         prefetch_legs: bool = True,
         clock: Optional[Callable[[], float]] = None,
         wall_clock: Optional[Callable[[], float]] = None,
@@ -487,7 +484,6 @@ class MicroBatcher:
         self._latency_budget = latency_budget
         self._policy = policy
         self._shards = shards
-        self._workers = workers
         self._prefetch_legs = prefetch_legs
         self._clock = clock or time.monotonic
         self._wall_clock = wall_clock or time.perf_counter
@@ -795,7 +791,6 @@ class MicroBatcher:
                 requests,
                 policy=self._policy,
                 shards=self._shards,
-                workers=self._workers,
                 prefetch_legs=self._prefetch_legs,
                 on_outcome=_answered,
             )
@@ -837,10 +832,9 @@ def batcher_from_config(
 
     Reads ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
     ``queue_policy`` / ``speed`` / ``latency_budget`` /
-    ``batch_window_mode`` / ``batch_window_min`` / ``batch_window_max``
-    (plus the dispatch worker knob, which ``dispatch_batch`` already
-    defaults from the same config), so the service layer and the admin
-    form stay the single source of truth.
+    ``batch_window_mode`` / ``batch_window_min`` / ``batch_window_max``,
+    so the service layer and the admin form stay the single source of
+    truth.
     """
     return MicroBatcher(
         dispatcher,

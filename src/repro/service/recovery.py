@@ -248,7 +248,6 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
         "tree_provider": config.tree_provider,
         "routing_cache_dir": config.routing_cache_dir,
         "match_shards": config.match_shards,
-        "dispatch_workers": config.dispatch_workers,
         "batch_window": config.batch_window,
         "max_batch_size": config.max_batch_size,
         "queue_capacity": config.queue_capacity,
@@ -256,8 +255,6 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
         "durability": config.durability,
         "journal_path": config.journal_path,
         "snapshot_interval": config.snapshot_interval,
-        "worker_timeout": config.worker_timeout,
-        "max_dispatch_retries": config.max_dispatch_retries,
         "latency_budget": config.latency_budget,
         "batch_window_mode": config.batch_window_mode,
         "batch_window_min": config.batch_window_min,
@@ -267,10 +264,20 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
     }
 
 
+#: Knobs of the removed worker pool.  Journals written while they existed
+#: still carry them in their config meta and ``set_parameters`` records;
+#: outcomes never depended on them, so recovery drops them.
+RETIRED_CONFIG_KEYS = ("dispatch_workers", "worker_timeout", "max_dispatch_retries")
+
+
+def _without_retired_keys(payload: Dict[str, object]) -> Dict[str, object]:
+    return {key: value for key, value in payload.items() if key not in RETIRED_CONFIG_KEYS}
+
+
 def deserialize_config(payload: Dict[str, object]) -> SystemConfig:
     """Rebuild a config (price-model coefficients included)."""
     price = payload.get("price_model") or {}
-    fields = dict(payload)
+    fields = _without_retired_keys(payload)
     fields["price_model"] = LinearPriceModel(
         base_ratio=float(price.get("base_ratio", 0.3)),
         rider_increment=float(price.get("rider_increment", 0.1)),
@@ -983,7 +990,7 @@ def apply_record(service, record: JournalRecord) -> None:
         elif kind == "advance":
             service.advance(float(payload["duration"]))
         elif kind == "set_parameters":
-            service.set_parameters(**payload["changes"])
+            service.set_parameters(**_without_retired_keys(payload["changes"]))
         else:  # pragma: no cover - append() rejects unknown kinds
             raise RecoveryError(f"unknown command record kind {kind!r}")
     except RecoveryError:
@@ -1020,7 +1027,6 @@ def replay_records(service, records: List[JournalRecord]) -> int:
     def _observe(outcome) -> None:
         replayed.append(service._outcome_payload(outcome))
 
-    service._dispatcher.outcome_listener = _observe
     applied = 0
     try:
         for record in ordered:
@@ -1029,6 +1035,9 @@ def replay_records(service, records: List[JournalRecord]) -> int:
                     service._applied_seq = record.seq
                 continue
             before = service._applied_seq
+            # A replayed set_parameters replaces the dispatcher, so the
+            # observer is (re)attached to whichever dispatcher is current.
+            service._dispatcher.outcome_listener = _observe
             apply_record(service, record)
             if service._applied_seq > before:
                 applied += 1

@@ -61,6 +61,14 @@ class TestValidation:
         assert cached.routing_cache_dir == "/tmp/artifacts"
         assert cached.table_max_vertices == 128
 
+    def test_dispatch_workers_accepts_only_in_process(self):
+        from repro.service.recovery import serialize_config
+
+        with pytest.raises(ConfigurationError, match="worker pool was removed"):
+            SystemConfig(dispatch_workers=2)
+        config = SystemConfig(dispatch_workers=1)
+        assert "dispatch_workers" not in serialize_config(config)
+
 
 class TestBehaviour:
     def test_with_updates_returns_new_config(self):

@@ -149,12 +149,12 @@ def test_shared_tree_statistics_are_consistent(scenario):
     assert 0.0 <= stats.shared_tree_hit_rate <= 1.0
 
 
-@given(batch_scenarios(), st.sampled_from(["csr", "table"]))
+@given(batch_scenarios(), st.sampled_from(["csr", "table", "ch"]))
 @settings(max_examples=16, deadline=None)
 def test_prefetched_batch_equals_sequential_on_vector_backends(scenario, backend):
-    """The one-shot tree-plane prefetch is pure restructuring: on the CSR and
-    table backends the batched pipeline must reproduce the sequential loop's
-    options, choices and fleet end-state float for float."""
+    """The one-shot tree-plane prefetch is pure restructuring: on the CSR,
+    table and CH backends the batched pipeline must reproduce the sequential
+    loop's options, choices and fleet end-state float for float."""
     blueprint, requests, matcher_name, shards, policy, config = scenario
     sequential = _build_dispatcher(blueprint, matcher_name, config, backend=backend)
     batched = _build_dispatcher(blueprint, matcher_name, config, backend=backend)

@@ -104,35 +104,6 @@ def test_numpy_phast_planes_bit_identical_to_csr_rows(case):
     assert list(single) == list(graph.tree(indices[0]))
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="exercises the NumPy refold paths")
-@given(networks())
-@settings(max_examples=30, deadline=None)
-def test_scatter_refold_bit_identical_to_segmented_refold(case):
-    """The reduceat-free (scatter-min) refold is the same fold, bit for bit.
-
-    Both folds gather a generation's already-folded labels before writing,
-    and float min is exact, so flipping ``PTRIDER_PHAST_SCATTER_REFOLD``
-    must change nothing about the rows -- including against the CSR
-    reference, which is the contract everything else rests on.
-    """
-    import os
-
-    network, seed = case
-    graph = CSRGraph(network)
-    hierarchy = ContractionHierarchy.build(graph)
-    provider = PHASTTreeProvider(graph, hierarchy)
-    indices = _sample_indices(graph, seed, count=5)
-    segmented = provider.trees(indices)
-    os.environ[routing.PHAST_SCATTER_REFOLD_ENV] = "1"
-    try:
-        scattered = provider.trees(indices)
-    finally:
-        os.environ.pop(routing.PHAST_SCATTER_REFOLD_ENV, None)
-    for position, index in enumerate(indices):
-        assert list(scattered[position]) == list(segmented[position])
-        assert list(scattered[position]) == list(graph.tree(index))
-
-
 @given(networks())
 @settings(max_examples=25, deadline=None)
 def test_pure_python_phast_bit_identical_to_python_dijkstra(case):

@@ -104,6 +104,25 @@ class TestMain:
         assert code == 1
         assert "E14 [ch:point_queries]" in out.err
 
+    def test_baseline_rows_of_a_retired_experiment_are_skipped(self, tmp_path, capsys):
+        # the committed baseline still holds E16 rows after the experiment
+        # was deleted; fresh records that lack them must not fail the check
+        retired = [
+            {"experiment": "E16", "routing_backend": "csr", "workers": 2,
+             "wall_seconds": 0.3},
+            {"experiment": "E16", "routing_backend": "csr", "wall_seconds": 0.2},
+        ]
+        baseline = self._write(tmp_path / "baseline.json", RECORDS + retired)
+        fresh = self._write(tmp_path / "fresh.json", RECORDS)
+        code = trend.main([
+            "--baseline", baseline, "--fresh", fresh,
+            "--experiments", "E2", "E14", "E16",
+        ])
+        out = capsys.readouterr()
+        assert code == 0
+        assert "E16 [csr]: no fresh record -- skipped" in out.out
+        assert "E16 [csr w2]: no fresh record -- skipped" in out.out
+
     def test_archive_writes_phase_field(self, tmp_path, capsys):
         baseline = self._write(tmp_path / "baseline.json", RECORDS)
         fresh = self._write(tmp_path / "fresh.json", RECORDS)

@@ -224,23 +224,6 @@ class TestWebsiteInterface:
         assert stats["routing_queries"] == panel["queries"]
         assert "routing_backend" not in stats  # strings stay admin-only
 
-    def test_routing_statistics_reports_parallel_dispatch_posture(self, paper_service):
-        panel = paper_service.routing_statistics()
-        assert panel["dispatch_workers"] == 1.0
-        # no batch ran yet: the last-batch fields read their neutral zeros
-        assert panel["parallel_workers"] == 0.0
-        assert panel["ipc_seconds"] == 0.0
-        config = paper_service.set_parameters(dispatch_workers=3)
-        assert config.dispatch_workers == 3
-        assert paper_service.routing_statistics()["dispatch_workers"] == 3.0
-        assert paper_service.statistics()["dispatch_workers"] == 3.0
-        # a batch through the dict-backed paper service runs in-process
-        # (no export surface), so the last-batch posture stays 0 workers
-        paper_service.book_batch([(12, 17), (3, 22)])
-        panel = paper_service.routing_statistics()
-        assert panel["parallel_workers"] == 0.0
-        assert panel["ipc_seconds"] == 0.0
-
     def test_routing_statistics_reports_artifact_cache_activity(self, tmp_path):
         pytest.importorskip("numpy", reason="the artifact cache serialises through NumPy")
         config = SystemConfig(

@@ -226,6 +226,33 @@ class TestJournalingService:
         assert len(outcomes[0].payload["outcomes"]) == 1
 
 
+class TestRetiredPoolKeys:
+    """Journals written while the worker pool existed still recover."""
+
+    RETIRED = {"dispatch_workers": 2, "worker_timeout": 30.0, "max_dispatch_retries": 1}
+
+    def test_journal_carrying_retired_keys_recovers_to_its_twin(self, tmp_path):
+        service = _durable_system(tmp_path, mode="journal")
+        service.book_request(_request(service, 1))
+        service.set_parameters(match_shards=2)
+        service.ingest_request(_request(service, 2))
+        service.ingest_request(_request(service, 3))
+        service.drain()
+        service.advance(2.0)
+        expected = canonical_state(service)
+        journal = service.journal
+        journal.set_meta("config", {**journal.get_meta("config"), **self.RETIRED})
+        (record,) = [r for r in journal.records() if r.kind == "set_parameters"]
+        changes = {**record.payload["changes"], **self.RETIRED}
+        journal.connection.execute(
+            "UPDATE journal SET payload = ? WHERE seq = ?",
+            (json.dumps({"changes": changes}), record.seq),
+        )
+        journal.close()  # crash: no drain, no clean shutdown
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        assert canonical_state(recovered) == expected
+
+
 class TestCloseDrain:
     def test_close_drains_pending_window_and_counts(self, tmp_path):
         service = build_system(vehicles=6, seed=11)

@@ -1,7 +1,7 @@
 """Unit tests for the deterministic fault-injection registry.
 
-The chaos harness (``benchmarks/bench_e19_chaos.py``) and the watchdog
-tests both lean on this module being exactly deterministic: a plan fires a
+The chaos harness (``benchmarks/bench_e19_chaos.py``) leans on this module
+being exactly deterministic: a plan fires a
 spec at precisely the listed occurrence indices of its fire key, seeded
 plans reproduce bit-for-bit from their seed, and an inactive registry makes
 every ``fire`` a no-op.
@@ -28,20 +28,21 @@ class TestFaultSpec:
     def test_unknown_action_is_rejected(self):
         with pytest.raises(ServiceError):
             FaultSpec(point="ingest.flush", action="explode")
+        # the worker-only "stall" action went with the worker pool
+        with pytest.raises(ServiceError):
+            FaultSpec(point="ingest.flush", action="stall")
 
     def test_matching_wildcards(self):
-        spec = FaultSpec(point="worker.turn")
-        assert spec.matches("worker.turn", position=3, tag=None)
-        assert spec.matches("worker.turn", position=None, tag="anything")
-        assert not spec.matches("worker.batch", position=3, tag=None)
+        spec = FaultSpec(point="journal.append")
+        assert spec.matches("journal.append", tag=None)
+        assert spec.matches("journal.append", tag="anything")
+        assert not spec.matches("ingest.flush", tag=None)
 
-    def test_position_and_tag_narrow_the_match(self):
-        spec = FaultSpec(point="journal.append", position=None, tag="pump")
-        assert spec.matches("journal.append", position=None, tag="pump")
-        assert not spec.matches("journal.append", position=None, tag="admit")
-        positioned = FaultSpec(point="worker.turn", position=1)
-        assert positioned.matches("worker.turn", position=1, tag=None)
-        assert not positioned.matches("worker.turn", position=0, tag=None)
+    def test_tag_narrows_the_match(self):
+        spec = FaultSpec(point="journal.append", tag="pump")
+        assert spec.matches("journal.append", tag="pump")
+        assert not spec.matches("journal.append", tag="admit")
+        assert not spec.matches("journal.append", tag=None)
 
 
 class TestOccurrenceCounting:
@@ -69,7 +70,7 @@ class TestOccurrenceCounting:
 
     def test_inactive_registry_is_a_noop(self):
         faults.fire("ingest.flush")
-        faults.fire("worker.turn", position=5, tag="whatever")
+        faults.fire("journal.append", tag="whatever")
         assert faults.active() is None
 
     def test_context_manager_installs_and_clears(self):
@@ -87,7 +88,7 @@ class TestOccurrenceCounting:
 
 class TestSeededPlans:
     def test_same_seed_reproduces_the_schedule(self):
-        entries = [("ingest.flush", "sleep", 3, 50), ("worker.turn", "error", 2, 20)]
+        entries = [("ingest.flush", "sleep", 3, 50), ("journal.append", "error", 2, 20)]
         first = FaultPlan.seeded(23, entries)
         second = FaultPlan.seeded(23, entries)
         assert [spec.at for spec in first.specs] == [spec.at for spec in second.specs]
@@ -106,35 +107,9 @@ class TestSeededPlans:
         assert len(spec.at) == 4
 
     def test_spec_defaults_forward_to_every_spec(self):
-        plan = FaultPlan.seeded(7, [("worker.turn", "sleep", 1, 5)], seconds=0.4,
-                                position=1)
+        plan = FaultPlan.seeded(7, [("journal.append", "sleep", 1, 5)], seconds=0.4,
+                                tag="pump")
         (spec,) = plan.specs
         assert spec.seconds == 0.4
-        assert spec.position == 1
+        assert spec.tag == "pump"
 
-
-class TestWorkerShipping:
-    def test_active_specs_ships_only_worker_points(self):
-        plan = FaultPlan([
-            FaultSpec(point="worker.turn", action="sleep"),
-            FaultSpec(point="pool.begin", action="error"),
-            FaultSpec(point="journal.append", action="error"),
-        ])
-        with plan:
-            shipped = faults.active_specs()
-        assert shipped == (plan.specs[0],)
-
-    def test_active_specs_without_worker_points_is_none(self):
-        with FaultPlan([FaultSpec(point="ingest.flush", action="error")]):
-            assert faults.active_specs() is None
-        assert faults.active_specs() is None
-
-    def test_shipped_plan_counts_from_zero(self):
-        """A worker rebuilding a plan from shipped specs starts fresh
-        occurrence counters -- ``at`` indices are per-worker-lifetime."""
-        parent = FaultPlan([FaultSpec(point="worker.turn", action="error", at=(0,))])
-        with pytest.raises(FaultInjected):
-            parent.fire("worker.turn", position=0)
-        child = FaultPlan(parent.specs)
-        with pytest.raises(FaultInjected):
-            child.fire("worker.turn", position=0)
