@@ -39,9 +39,9 @@ def build_paper_scenario():
     r1 = Request(start=2, destination=16, riders=2, max_waiting=5.0, service_constraint=0.2,
                  request_id="R1")
     c1 = fleet.get("c1")
-    schedules = feasible_schedules_for_commit(c1, r1, oracle, grid)
+    candidates = feasible_schedules_for_commit(c1, r1, oracle, grid)
     c1.assign(r1, planned_pickup_distance=8.0, direct_distance=oracle.distance(2, 16),
-              schedules=schedules)
+              schedules=[candidate.schedule for candidate in candidates])
     fleet.refresh_vehicle("c1")
     config = SystemConfig(max_waiting=5.0, service_constraint=0.2)
     request = Request(start=12, destination=17, riders=2, max_waiting=5.0, service_constraint=0.2,

@@ -54,7 +54,6 @@ from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
 from repro.roadnet.graph import VertexId
 from repro.vehicles.fleet import Fleet
-from repro.vehicles.schedule import evaluate_schedule
 
 __all__ = ["OptionPolicy", "DispatchOutcome", "Dispatcher"]
 
@@ -216,12 +215,17 @@ class Dispatcher:
             )
         engine = self._fleet.routing_engine
         vehicle = self._fleet.get(option.vehicle_id)
-        schedules = feasible_schedules_for_commit(vehicle, request, engine, self._fleet.grid)
+        candidates = feasible_schedules_for_commit(vehicle, request, engine, self._fleet.grid)
         # The accepted option fixes the rider's *planned* pick-up; from now on
         # the waiting-time condition (Definition 2, condition 3) applies to the
         # new request too, so schedules that would already pick the rider up
         # more than ``w`` later than promised are not valid branches.
-        schedules = self._filter_by_promised_pickup(vehicle, request, option, schedules)
+        promised = option.pickup_distance + request.max_waiting + 1e-9
+        schedules = [
+            candidate.schedule
+            for candidate in candidates
+            if candidate.pickup_distance <= promised
+        ]
         if not schedules:
             raise UnknownOptionError(
                 f"vehicle {option.vehicle_id} can no longer serve request {request.request_id}"
@@ -243,17 +247,6 @@ class Dispatcher:
         )
         self._fleet.refresh_vehicle(vehicle.vehicle_id)
         self._active_requests[request.request_id] = vehicle.vehicle_id
-
-    def _filter_by_promised_pickup(self, vehicle, request, option, schedules):
-        """Keep only schedules honouring the promised pick-up within ``w``."""
-        budget = option.pickup_distance + request.max_waiting + 1e-9
-        engine = self._fleet.routing_engine
-        kept = []
-        for schedule in schedules:
-            metrics = evaluate_schedule(vehicle.location, schedule, engine.distance, vehicle.offset)
-            if metrics.pickup_distance[request.request_id] <= budget:
-                kept.append(schedule)
-        return kept
 
     # ------------------------------------------------------------------
     # automatic dispatch (simulation / examples)

@@ -291,20 +291,27 @@ def added_distance_lower_bound(
     origin = vehicle.location
     if not schedules:
         return bound_fn(origin, vertex) + vehicle.offset
+    # Branches share most of their legs and last stops; each distinct one is
+    # evaluated once, in the order the branches first reach it (``min`` and
+    # ``max`` are exact, so the bound does not depend on repeats).
     best = math.inf
+    seen_legs = set()
+    seen_last = set()
     for schedule in schedules:
         previous = origin
         for stop in schedule:
-            replaced = distance_fn(previous, stop.vertex)
-            detour = (
-                bound_fn(previous, vertex)
-                + bound_fn(vertex, stop.vertex)
-                - replaced
-            )
-            best = min(best, max(0.0, detour))
-            previous = stop.vertex
+            target = stop.vertex
+            leg = (previous, target)
+            if leg not in seen_legs:
+                seen_legs.add(leg)
+                replaced = distance_fn(previous, target)
+                detour = bound_fn(previous, vertex) + bound_fn(vertex, target) - replaced
+                best = min(best, max(0.0, detour))
+            previous = target
         # appending after the last stop
-        best = min(best, bound_fn(previous, vertex))
+        if previous not in seen_last:
+            seen_last.add(previous)
+            best = min(best, bound_fn(previous, vertex))
         if best <= 0.0:
             return 0.0
     return best

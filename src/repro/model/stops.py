@@ -30,10 +30,11 @@ class Stop:
     """One stop of a vehicle trip schedule.
 
     Stops are immutable and sit on the hottest loops of the matcher (every
-    candidate schedule is a tuple of stops, deduplicated by hash, and every
-    feasibility walk branches on the stop kind), so the derived values --
-    ``is_pickup`` / ``is_dropoff`` / ``occupancy_delta`` and the hash -- are
-    computed once at construction instead of per access.
+    kinetic-tree branch is a tuple of stops, deduplicated by hash, and every
+    per-branch precomputation of the insertion kernel reads the stop kind and
+    occupancy change), so the derived values -- ``is_pickup`` /
+    ``is_dropoff`` / ``occupancy_delta`` and the hash -- are computed once at
+    construction instead of per access.
 
     Attributes:
         vertex: the road-network vertex of the stop.

@@ -38,6 +38,7 @@ __all__ = [
     "ScheduleMetrics",
     "evaluate_schedule",
     "check_schedule",
+    "check_structure",
     "enumerate_insertions",
     "prefix_distances",
     "schedule_distance",
@@ -189,36 +190,19 @@ def evaluate_schedule(
     )
 
 
-def check_schedule(
-    origin: int,
+def check_structure(
     stops: Sequence[Stop],
-    capacity: int,
-    onboard_riders: int,
     request_states: Mapping[str, RequestState],
-    distance: DistanceFunction,
-    origin_offset: float = 0.0,
-    metrics: Optional[ScheduleMetrics] = None,
 ) -> FeasibilityResult:
-    """Check the four validity conditions of Definition 2 for a stop sequence.
+    """Check the point-order conditions of Definition 2 (no distances needed).
 
-    Args:
-        origin: the vehicle's current location (its next vertex).
-        stops: the candidate stop sequence.
-        capacity: vehicle capacity.
-        onboard_riders: riders already in the vehicle before the first stop.
-        request_states: state of every unfinished request appearing in the
-            sequence, keyed by request id.
-        distance: shortest-path distance callback.
-        origin_offset: remaining distance to reach ``origin`` (for vehicles
-            travelling along an edge).
-        metrics: optionally pre-computed metrics for ``stops`` (to avoid
-            recomputation when the caller already evaluated the sequence).
-
-    Returns:
-        :class:`FeasibilityResult` describing the first violated condition,
-        or a success result when the schedule is valid.
+    Every stop must reference a known request; every request needs exactly
+    one drop-off, every waiting request exactly one pick-up before it, and
+    an on-board request no pick-up.  :func:`check_schedule` runs this first;
+    the insertion kernel runs it once per kinetic-tree branch, because
+    inserting a new request's pick-up and drop-off (in that order) neither
+    breaks nor repairs these conditions for the branch's own requests.
     """
-    # --- structural / point-order checks (no distances needed) -----------
     seen_pickup: Dict[str, int] = {}
     seen_dropoff: Dict[str, int] = {}
     for index, stop in enumerate(stops):
@@ -263,6 +247,41 @@ def check_schedule(
             return FeasibilityResult.violation(
                 f"onboard request {request_id} must not be picked up again", request_id
             )
+    return FeasibilityResult.ok()
+
+
+def check_schedule(
+    origin: int,
+    stops: Sequence[Stop],
+    capacity: int,
+    onboard_riders: int,
+    request_states: Mapping[str, RequestState],
+    distance: DistanceFunction,
+    origin_offset: float = 0.0,
+    metrics: Optional[ScheduleMetrics] = None,
+) -> FeasibilityResult:
+    """Check the four validity conditions of Definition 2 for a stop sequence.
+
+    Args:
+        origin: the vehicle's current location (its next vertex).
+        stops: the candidate stop sequence.
+        capacity: vehicle capacity.
+        onboard_riders: riders already in the vehicle before the first stop.
+        request_states: state of every unfinished request appearing in the
+            sequence, keyed by request id.
+        distance: shortest-path distance callback.
+        origin_offset: remaining distance to reach ``origin`` (for vehicles
+            travelling along an edge).
+        metrics: optionally pre-computed metrics for ``stops`` (to avoid
+            recomputation when the caller already evaluated the sequence).
+
+    Returns:
+        :class:`FeasibilityResult` describing the first violated condition,
+        or a success result when the schedule is valid.
+    """
+    structure = check_structure(stops, request_states)
+    if not structure:
+        return structure
 
     # --- capacity ---------------------------------------------------------
     occupancy = onboard_riders

@@ -65,23 +65,16 @@ def assign_request(
     """Assign ``request`` to ``vehicle_id`` using the normal commit machinery."""
     vehicle = fleet.get(vehicle_id)
     oracle = fleet.oracle
-    schedules = feasible_schedules_for_commit(vehicle, request, oracle, fleet.grid)
-    assert schedules, f"vehicle {vehicle_id} cannot feasibly serve {request.request_id}"
+    candidates = feasible_schedules_for_commit(vehicle, request, oracle, fleet.grid)
+    assert candidates, f"vehicle {vehicle_id} cannot feasibly serve {request.request_id}"
     if planned_pickup_distance is None:
         # Promise the pick-up distance of the shortest candidate schedule.
-        from repro.vehicles.schedule import evaluate_schedule
-
-        planned_pickup_distance = min(
-            evaluate_schedule(vehicle.location, schedule, oracle.distance, vehicle.offset).pickup_distance[
-                request.request_id
-            ]
-            for schedule in schedules
-        )
+        planned_pickup_distance = min(candidate.pickup_distance for candidate in candidates)
     vehicle.assign(
         request,
         planned_pickup_distance=planned_pickup_distance,
         direct_distance=oracle.distance(request.start, request.destination),
-        schedules=schedules,
+        schedules=[candidate.schedule for candidate in candidates],
     )
     fleet.refresh_vehicle(vehicle_id)
 

@@ -149,9 +149,10 @@ class TestCommitHelper:
     def test_feasible_schedules_for_commit(self, network, oracle, grid):
         vehicle = Vehicle("c2", location=13)
         request = Request(start=12, destination=17, riders=2, request_id="R2")
-        schedules = feasible_schedules_for_commit(vehicle, request, oracle, grid)
-        assert len(schedules) == 1
-        assert [stop.vertex for stop in schedules[0]] == [12, 17]
+        candidates = feasible_schedules_for_commit(vehicle, request, oracle, grid)
+        assert len(candidates) == 1
+        assert [stop.vertex for stop in candidates[0].schedule] == [12, 17]
+        assert candidates[0].pickup_distance == pytest.approx(8.0)
 
     def test_commit_helper_empty_when_infeasible(self, network, oracle, grid):
         vehicle = Vehicle("c1", location=1, capacity=1)
